@@ -5,7 +5,6 @@
 #include <benchmark/benchmark.h>
 
 #include "graph/min_cost_flow.hpp"
-#include "graph/steiner.hpp"
 #include "grid/obstacle_map.hpp"
 #include "route/astar.hpp"
 #include "route/bounded_astar.hpp"
@@ -79,32 +78,6 @@ void BM_BoundedAStar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundedAStar)->Arg(0)->Arg(8)->Arg(32)->Arg(128);
-
-
-void BM_SteinerVsMst(benchmark::State& state) {
-  // Random terminal sets; the counter reports the mean wirelength saving
-  // of iterated 1-Steiner over the plain MST topology.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::int64_t mstTotal = 0;
-  std::int64_t steinerTotal = 0;
-  unsigned seed = 1;
-  for (auto _ : state) {
-    std::vector<pacor::geom::Point> pts;
-    for (std::size_t i = 0; i < n; ++i) {
-      seed = seed * 1664525u + 1013904223u;
-      pts.push_back({static_cast<std::int32_t>(seed % 64),
-                     static_cast<std::int32_t>((seed >> 8) % 64)});
-    }
-    const auto tree = pacor::graph::iteratedOneSteiner(pts);
-    mstTotal += pacor::graph::mstCost(pts);
-    steinerTotal += tree.cost;
-    benchmark::DoNotOptimize(tree);
-  }
-  if (mstTotal > 0)
-    state.counters["saving"] =
-        1.0 - static_cast<double>(steinerTotal) / static_cast<double>(mstTotal);
-}
-BENCHMARK(BM_SteinerVsMst)->Arg(4)->Arg(6)->Arg(9);
 
 }  // namespace
 

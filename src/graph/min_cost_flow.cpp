@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <unordered_map>
 
 namespace pacor::graph {
 
@@ -110,12 +109,9 @@ std::size_t MinCostFlow::addEdge(std::size_t u, std::size_t v, std::int64_t capa
   arcCost_.push_back(-cost);
   baseCap_.push_back(capacity);
   if (csrBuilt_) {
+    assert(atZeroFlow() && "overlay edges are zero-flow edits");
     linkOverlayArc(2 * id);
     linkOverlayArc(2 * id + 1);
-    // A new residual arc may have negative reduced cost under the current
-    // potentials; harmless when the network is at zero flow (the repair
-    // degenerates to re-zeroing).
-    if (capacity > 0) potentialsDirty_ = true;
   }
   return id;
 }
@@ -164,13 +160,6 @@ void MinCostFlow::setArcResidual(std::size_t arcId, std::int64_t cap) {
 std::int64_t MinCostFlow::zeroFlowCap(std::size_t arcId) const {
   if (arcEndpointDisabled(arcId)) return 0;
   return (arcId & 1) != 0 ? 0 : baseCap_[arcId >> 1];
-}
-
-void MinCostFlow::markDirtyArc(std::size_t arcId) {
-  if (arcId < builtArcs_)
-    dirtyCsr_.push_back(arcPos_[arcId]);
-  else
-    dirtyOv_.push_back(static_cast<std::int32_t>(arcId));
 }
 
 void MinCostFlow::ensureCsr() {
@@ -228,147 +217,28 @@ void forEachArcFromImpl(const std::vector<std::size_t>& csrStart,
 
 }  // namespace
 
-template <typename Pred>
-std::int64_t MinCostFlow::findArcFrom(std::size_t node, Pred&& pred) const {
-  std::int64_t found = -1;
-  forEachArcFromImpl(csrStart_, csrArcId_, csrBuilt_, ovHead_, ovNext_, builtArcs_,
-                     node, [&](std::size_t a) {
-                       if (!pred(a)) return false;
-                       found = static_cast<std::int64_t>(a);
-                       return true;
-                     });
-  return found;
-}
-
-void MinCostFlow::cancelUnitBackwardFrom(std::size_t node) {
-  // Remove one unit of flow arriving at `node` by walking flow-carrying
-  // arcs backwards; stops at the source (no incoming flow). Every step
-  // lowers total routed volume by one unit, so the walk terminates even if
-  // the flow decomposition contains cycles.
-  for (;;) {
-    const std::int64_t back = findArcFrom(
-        node, [&](std::size_t a) { return (a & 1) != 0 && capOfArc(a) > 0; });
-    if (back < 0) return;
-    const auto b = static_cast<std::size_t>(back);
-    setArcResidual(b, capOfArc(b) - 1);
-    setArcResidual(b ^ 1, capOfArc(b ^ 1) + 1);
-    markDirtyArc(b);
-    markDirtyArc(b ^ 1);
-    node = static_cast<std::size_t>(arcTo_[b]);
-  }
-}
-
-void MinCostFlow::cancelUnitForwardFrom(std::size_t node) {
-  // Remove one unit of flow leaving `node`, walking toward the sink.
-  for (;;) {
-    const std::int64_t fwd = findArcFrom(
-        node, [&](std::size_t a) { return (a & 1) == 0 && capOfArc(a ^ 1) > 0; });
-    if (fwd < 0) return;
-    const auto a = static_cast<std::size_t>(fwd);
-    setArcResidual(a, capOfArc(a) + 1);
-    setArcResidual(a ^ 1, capOfArc(a ^ 1) - 1);
-    markDirtyArc(a);
-    markDirtyArc(a ^ 1);
-    node = static_cast<std::size_t>(arcTo_[a]);
-  }
-}
-
-std::int64_t MinCostFlow::cancelFlowThrough(std::size_t edgeId,
-                                            std::int64_t maxUnits) {
-  ensureCsr();
-  std::int64_t cancelled = 0;
-  const std::size_t fwd = 2 * edgeId;
-  while (cancelled < maxUnits && flowOn(edgeId) > 0) {
-    setArcResidual(fwd, capOfArc(fwd) + 1);
-    setArcResidual(fwd ^ 1, capOfArc(fwd ^ 1) - 1);
-    markDirtyArc(fwd);
-    markDirtyArc(fwd ^ 1);
-    cancelUnitBackwardFrom(static_cast<std::size_t>(arcFrom_[fwd]));
-    cancelUnitForwardFrom(static_cast<std::size_t>(arcTo_[fwd]));
-    ++cancelled;
-  }
-  if (cancelled > 0) {
-    flowUnits_ = std::max<std::int64_t>(0, flowUnits_ - cancelled);
-    // Restored forward residual capacity can carry negative reduced cost.
-    potentialsDirty_ = true;
-  }
-  return cancelled;
-}
-
-std::int64_t MinCostFlow::cancelFlowThroughNode(std::size_t node) {
-  ensureCsr();
-  std::int64_t cancelled = 0;
-  // Units passing through (or terminating at) `node`: consume an incoming
-  // unit, then its matching outgoing unit if conservation forwards one.
-  for (;;) {
-    const std::int64_t in = findArcFrom(
-        node, [&](std::size_t a) { return (a & 1) != 0 && capOfArc(a) > 0; });
-    if (in < 0) break;
-    const auto b = static_cast<std::size_t>(in);
-    setArcResidual(b, capOfArc(b) - 1);
-    setArcResidual(b ^ 1, capOfArc(b ^ 1) + 1);
-    markDirtyArc(b);
-    markDirtyArc(b ^ 1);
-    cancelUnitBackwardFrom(static_cast<std::size_t>(arcTo_[b]));
-    const std::int64_t out = findArcFrom(
-        node, [&](std::size_t a) { return (a & 1) == 0 && capOfArc(a ^ 1) > 0; });
-    if (out >= 0) {
-      const auto a = static_cast<std::size_t>(out);
-      setArcResidual(a, capOfArc(a) + 1);
-      setArcResidual(a ^ 1, capOfArc(a ^ 1) - 1);
-      markDirtyArc(a);
-      markDirtyArc(a ^ 1);
-      cancelUnitForwardFrom(static_cast<std::size_t>(arcTo_[a]));
-    }
-    ++cancelled;
-  }
-  // Units originating at `node` (source-like): leftover outgoing flow.
-  for (;;) {
-    const std::int64_t out = findArcFrom(
-        node, [&](std::size_t a) { return (a & 1) == 0 && capOfArc(a ^ 1) > 0; });
-    if (out < 0) break;
-    const auto a = static_cast<std::size_t>(out);
-    setArcResidual(a, capOfArc(a) + 1);
-    setArcResidual(a ^ 1, capOfArc(a ^ 1) - 1);
-    markDirtyArc(a);
-    markDirtyArc(a ^ 1);
-    cancelUnitForwardFrom(static_cast<std::size_t>(arcTo_[a]));
-    ++cancelled;
-  }
-  if (cancelled > 0) {
-    flowUnits_ = std::max<std::int64_t>(0, flowUnits_ - cancelled);
-    potentialsDirty_ = true;
-  }
-  return cancelled;
-}
+// Topology edits below run only at zero flow, where every potential is
+// zero: a changed capacity then cannot expose a negative reduced cost,
+// and no flow has to be cancelled or rerouted around the edit.
 
 void MinCostFlow::setCapacity(std::size_t edgeId, std::int64_t capacity) {
   assert(edgeId < baseCap_.size());
   assert(capacity >= 0);
+  assert(atZeroFlow() && "setCapacity is a zero-flow edit");
   ensureCsr();
-  std::int64_t flow = flowOn(edgeId);
-  if (flow > capacity) {
-    cancelFlowThrough(edgeId, flow - capacity);
-    flow = capacity;
-  }
-  const std::int64_t old = baseCap_[edgeId];
   baseCap_[edgeId] = capacity;
-  if (!arcEndpointDisabled(2 * edgeId)) {
-    setArcResidual(2 * edgeId, capacity - flow);
-    if (capacity > old) potentialsDirty_ = true;
-  }
+  if (!arcEndpointDisabled(2 * edgeId)) setArcResidual(2 * edgeId, capacity);
 }
 
 void MinCostFlow::disableNode(std::size_t node) {
   assert(node < nodes_.size());
+  assert(atZeroFlow() && "disableNode is a zero-flow edit");
   ensureCsr();
   if (disabled_.empty()) disabled_.assign(nodes_.size(), 0);
   if (disabled_[node] != 0) return;
-  cancelFlowThroughNode(node);
   disabled_[node] = 1;
   // Zero every incident arc: the node's own arcs plus their reverses cover
-  // each incident edge exactly once. Capacity only shrinks here, so the
-  // potentials stay valid (beyond what the cancellation already flagged).
+  // each incident edge exactly once.
   forEachArcFromImpl(csrStart_, csrArcId_, csrBuilt_, ovHead_, ovNext_, builtArcs_,
                      node, [&](std::size_t a) {
                        setArcResidual(a, 0);
@@ -379,22 +249,20 @@ void MinCostFlow::disableNode(std::size_t node) {
 
 void MinCostFlow::enableNode(std::size_t node) {
   assert(node < nodes_.size());
+  assert(atZeroFlow() && "enableNode is a zero-flow edit");
   ensureCsr();
   if (disabled_.empty() || disabled_[node] == 0) return;
   disabled_[node] = 0;
   forEachArcFromImpl(csrStart_, csrArcId_, csrBuilt_, ovHead_, ovNext_, builtArcs_,
                      node, [&](std::size_t a) {
                        // Arcs to a still-disabled neighbor stay closed; the
-                       // rest return to their zero-flow capacity (no flow
-                       // can traverse a disabled node, so there is none to
-                       // preserve on any incident arc).
+                       // rest return to their zero-flow capacity.
                        if (!nodeDisabled(static_cast<std::size_t>(arcTo_[a]))) {
                          setArcResidual(a, zeroFlowCap(a));
                          setArcResidual(a ^ 1, zeroFlowCap(a ^ 1));
                        }
                        return false;
                      });
-  potentialsDirty_ = true;
 }
 
 void MinCostFlow::resetFlow() {
@@ -408,7 +276,6 @@ void MinCostFlow::resetFlow() {
   dirtyOv_.clear();
   for (Node& node : nodes_) node.potential = 0;
   flowUnits_ = 0;
-  potentialsDirty_ = false;
 }
 
 void MinCostFlow::truncateEdges(std::size_t edgeCount) {
@@ -416,9 +283,9 @@ void MinCostFlow::truncateEdges(std::size_t edgeCount) {
   const std::size_t keepArcs = 2 * edgeCount;
   if (csrBuilt_) {
     assert(keepArcs >= builtArcs_ && "only overlay edges can be truncated");
+    assert(atZeroFlow() && "truncateEdges is a zero-flow edit");
     for (std::size_t a = arcFrom_.size(); a > keepArcs;) {
       --a;
-      assert(capOfArc(a) == zeroFlowCap(a) && "truncated edges must be flow-free");
       // Dropping the suffix in reverse insertion order means each dropped
       // arc is currently the tail of its node's overlay chain.
       const auto u = static_cast<std::size_t>(arcFrom_[a]);
@@ -433,138 +300,12 @@ void MinCostFlow::truncateEdges(std::size_t edgeCount) {
     }
     ovNext_.resize(keepArcs - builtArcs_);
     ovPrev_.resize(keepArcs - builtArcs_);
-    dirtyOv_.erase(std::remove_if(dirtyOv_.begin(), dirtyOv_.end(),
-                                  [&](std::int32_t a) {
-                                    return static_cast<std::size_t>(a) >= keepArcs;
-                                  }),
-                   dirtyOv_.end());
   }
   arcFrom_.resize(keepArcs);
   arcTo_.resize(keepArcs);
   arcCap_.resize(keepArcs);
   arcCost_.resize(keepArcs);
   baseCap_.resize(edgeCount);
-}
-
-void MinCostFlow::repairPotentials() {
-  potentialsDirty_ = false;
-  if (flowUnits_ == 0 && dirtyCsr_.empty() && dirtyOv_.empty()) {
-    // Zero flow: zero potentials are trivially valid (all costs >= 0).
-    for (Node& node : nodes_) node.potential = 0;
-    return;
-  }
-  // General repair: Bellman-Ford from a virtual source at distance zero to
-  // every node yields potentials under which all reduced costs are
-  // non-negative -- provided the residual graph has no negative cycle.
-  // Cancellation can leave one (the remaining flow need not be min-cost
-  // for its value); push flow around any such cycle first, which keeps the
-  // flow value, strictly lowers its cost, and therefore terminates. This
-  // path is never taken by the escape session (it resets to zero flow
-  // before editing).
-  const std::size_t n = nodes_.size();
-  std::vector<std::int32_t> parent(n, -1);
-  for (;;) {
-    for (Node& node : nodes_) node.potential = 0;
-    std::fill(parent.begin(), parent.end(), -1);
-    std::int64_t relaxedNode = -1;
-    for (std::size_t iter = 0; iter < n; ++iter) {
-      relaxedNode = -1;
-      for (std::size_t a = 0; a < arcFrom_.size(); ++a) {
-        if (capOfArc(a) <= 0) continue;
-        const auto u = static_cast<std::size_t>(arcFrom_[a]);
-        const auto v = static_cast<std::size_t>(arcTo_[a]);
-        const std::int64_t nd = nodes_[u].potential + arcCost_[a];
-        if (nd < nodes_[v].potential) {
-          nodes_[v].potential = nd;
-          parent[v] = static_cast<std::int32_t>(a);
-          relaxedNode = static_cast<std::int64_t>(v);
-        }
-      }
-      if (relaxedNode < 0) break;
-    }
-    if (relaxedNode < 0) return;  // converged: potentials valid
-    // A relaxation surviving n sweeps pinpoints a negative cycle: walk the
-    // parent chain n steps to land on it, then collect and cancel it.
-    auto x = static_cast<std::size_t>(relaxedNode);
-    for (std::size_t i = 0; i < n; ++i)
-      x = static_cast<std::size_t>(arcFrom_[static_cast<std::size_t>(parent[x])]);
-    std::vector<std::size_t> cycleArcs;
-    std::int64_t bottleneck = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t v = x;;) {
-      const auto a = static_cast<std::size_t>(parent[v]);
-      cycleArcs.push_back(a);
-      bottleneck = std::min(bottleneck, capOfArc(a));
-      v = static_cast<std::size_t>(arcFrom_[a]);
-      if (v == x) break;
-    }
-    for (const std::size_t a : cycleArcs) {
-      setArcResidual(a, capOfArc(a) - bottleneck);
-      setArcResidual(a ^ 1, capOfArc(a ^ 1) + bottleneck);
-      markDirtyArc(a);
-      markDirtyArc(a ^ 1);
-    }
-  }
-}
-
-std::int64_t MinCostFlow::firstArcCode(std::size_t u) const {
-  if (csrStart_[u] < csrStart_[u + 1])
-    return static_cast<std::int64_t>(csrStart_[u]);
-  if (!ovHead_.empty() && ovHead_[u] != -1)
-    return -static_cast<std::int64_t>(ovHead_[u]) - 2;
-  return -1;
-}
-
-std::int64_t MinCostFlow::nextArcCode(std::size_t u, std::int64_t code) const {
-  if (code >= 0) {
-    const std::size_t k = static_cast<std::size_t>(code) + 1;
-    if (k < csrStart_[u + 1]) return static_cast<std::int64_t>(k);
-    if (!ovHead_.empty() && ovHead_[u] != -1)
-      return -static_cast<std::int64_t>(ovHead_[u]) - 2;
-    return -1;
-  }
-  const auto a = static_cast<std::size_t>(-code - 2);
-  const std::int32_t next = ovNext_[a - builtArcs_];
-  return next == -1 ? -1 : -static_cast<std::int64_t>(next) - 2;
-}
-
-std::int64_t MinCostFlow::residualOfCode(std::int64_t code) const {
-  return code >= 0 ? csrArc_[static_cast<std::size_t>(code)].cap
-                   : arcCap_[static_cast<std::size_t>(-code - 2)];
-}
-
-std::int32_t MinCostFlow::headOfCode(std::int64_t code) const {
-  return code >= 0 ? csrArc_[static_cast<std::size_t>(code)].to
-                   : arcTo_[static_cast<std::size_t>(-code - 2)];
-}
-
-std::int32_t MinCostFlow::tailOfCode(std::int64_t code) const {
-  if (code >= 0) {
-    const auto k = static_cast<std::size_t>(code);
-    return csrArc_[static_cast<std::size_t>(csrRev_[k])].to;
-  }
-  return arcFrom_[static_cast<std::size_t>(-code - 2)];
-}
-
-std::int64_t MinCostFlow::costOfCode(std::int64_t code) const {
-  return code >= 0 ? csrArc_[static_cast<std::size_t>(code)].cost
-                   : arcCost_[static_cast<std::size_t>(-code - 2)];
-}
-
-void MinCostFlow::pushOnCode(std::int64_t code, std::int64_t units) {
-  if (code >= 0) {
-    const auto k = static_cast<std::size_t>(code);
-    const auto r = static_cast<std::size_t>(csrRev_[k]);
-    csrArc_[k].cap -= units;
-    csrArc_[r].cap += units;
-    dirtyCsr_.push_back(static_cast<std::int32_t>(k));
-    dirtyCsr_.push_back(csrRev_[k]);
-  } else {
-    const auto a = static_cast<std::size_t>(-code - 2);
-    arcCap_[a] -= units;
-    arcCap_[a ^ 1] += units;
-    dirtyOv_.push_back(static_cast<std::int32_t>(a));
-    dirtyOv_.push_back(static_cast<std::int32_t>(a ^ 1));
-  }
 }
 
 std::int64_t MinCostFlow::remainingSinkCapacity(std::size_t t) const {
@@ -582,264 +323,9 @@ std::int64_t MinCostFlow::remainingSinkCapacity(std::size_t t) const {
   return cap;
 }
 
-std::int64_t MinCostFlow::augmentTightPaths(std::size_t s, std::size_t t,
-                                            std::int64_t budget, std::int64_t& cost) {
-  // Blocking-flow DFS over the admissible subgraph: residual arcs whose
-  // reduced cost under the just-updated potentials is zero. Every tight
-  // s->t path costs exactly the pass's sink distance (reduced costs
-  // telescope to zero), so saturating any set of them preserves the SSP
-  // optimality invariant; reverse arcs of tight arcs are tight too, so
-  // the potentials stay valid for the next Dijkstra pass. Standard
-  // current-arc + blocked-node marking bounds the phase by O(arcs +
-  // paths * length); a node marked blocked cannot regain an admissible
-  // outgoing arc within the phase, because augmentations only add
-  // residual on reverse arcs out of on-path nodes.
-  const std::size_t n = nodes_.size();
-  if (dfsCur_.size() < n) {
-    dfsCur_.assign(n, -1);
-    dfsCurStamp_.assign(n, 0);
-    dfsBlockedStamp_.assign(n, 0);
-    dfsOnPathStamp_.assign(n, 0);
-  }
-  if (++dfsPhase_ == 0) {
-    std::fill(dfsCurStamp_.begin(), dfsCurStamp_.end(), 0);
-    std::fill(dfsBlockedStamp_.begin(), dfsBlockedStamp_.end(), 0);
-    dfsPhase_ = 1;
-  }
-  std::int64_t total = 0;
-  while (total < budget) {
-    if (++dfsPathId_ == 0) {
-      std::fill(dfsOnPathStamp_.begin(), dfsOnPathStamp_.end(), 0);
-      dfsPathId_ = 1;
-    }
-    dfsStackNode_.clear();
-    dfsStackArc_.clear();
-    dfsStackNode_.push_back(static_cast<std::int32_t>(s));
-    dfsOnPathStamp_[s] = dfsPathId_;
-    bool reached = false;
-    while (!dfsStackNode_.empty()) {
-      const auto u = static_cast<std::size_t>(dfsStackNode_.back());
-      if (u == t) {
-        reached = true;
-        break;
-      }
-      std::int64_t cur = dfsCurStamp_[u] == dfsPhase_ ? dfsCur_[u] : firstArcCode(u);
-      dfsCurStamp_[u] = dfsPhase_;
-      const std::int64_t potU = nodes_[u].potential;
-      std::int64_t chosen = -1;
-      for (; cur != -1; cur = nextArcCode(u, cur)) {
-        if (residualOfCode(cur) <= 0) continue;
-        const auto v = static_cast<std::size_t>(headOfCode(cur));
-        if (dfsBlockedStamp_[v] == dfsPhase_ || dfsOnPathStamp_[v] == dfsPathId_)
-          continue;
-        if (costOfCode(cur) + potU - nodes_[v].potential != 0) continue;
-        chosen = cur;
-        break;
-      }
-      dfsCur_[u] = cur;
-      // Arc codes are >= 0 (CSR) or <= -2 (overlay); only the -1 sentinel
-      // means no admissible arc survived the scan.
-      if (chosen == -1) {
-        dfsBlockedStamp_[u] = dfsPhase_;
-        dfsStackNode_.pop_back();
-        if (!dfsStackArc_.empty()) dfsStackArc_.pop_back();
-      } else {
-        const auto v = static_cast<std::size_t>(headOfCode(chosen));
-        dfsStackNode_.push_back(static_cast<std::int32_t>(v));
-        dfsOnPathStamp_[v] = dfsPathId_;
-        dfsStackArc_.push_back(chosen);
-      }
-    }
-    if (!reached) break;
-    std::int64_t push = budget - total;
-    for (const std::int64_t code : dfsStackArc_)
-      push = std::min(push, residualOfCode(code));
-    for (const std::int64_t code : dfsStackArc_) {
-      pushOnCode(code, push);
-      cost += push * costOfCode(code);
-    }
-    total += push;
-    ++counters_.augmentations;
-    ++counters_.multiAugPaths;
-  }
-  return total;
-}
-
-bool MinCostFlow::augmentBidir(std::size_t s, std::size_t t, std::int64_t& cost) {
-  // Bidirectional Dijkstra over reduced costs for the final unit of
-  // demand: forward from s over residual arcs, backward from t over the
-  // partners of each settled node's outgoing arcs (= its incoming residual
-  // arcs), stopping once the best meeting-node path cannot be beaten by
-  // the two frontier minima. The found path is a shortest path w.r.t.
-  // reduced (hence actual) cost, so augmenting it keeps the flow optimal;
-  // it is generally NOT tight under the current potentials, so they are
-  // flagged dirty for any later run() on the accumulated flow.
-  ++counters_.bidirPasses;
-  const std::size_t n = nodes_.size();
-  if (bnodes_.size() < n) bnodes_.assign(n, BNode{0, -1, 0, 0});
-  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    for (Node& node : nodes_) node.distStamp = node.doneStamp = 0;
-    epoch_ = 0;
-  }
-  ++epoch_;
-  if (bepoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    for (BNode& node : bnodes_) node.distStamp = node.doneStamp = 0;
-    bepoch_ = 0;
-  }
-  ++bepoch_;
-  heap_.clear();
-  heapB_.clear();
-
-  constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max() / 4;
-  std::int64_t best = kInf;
-  std::size_t meet = static_cast<std::size_t>(-1);
-  const auto consider = [&](std::size_t v) {
-    if (nodes_[v].distStamp == epoch_ && bnodes_[v].distStamp == bepoch_) {
-      const std::int64_t c = nodes_[v].dist + bnodes_[v].dist;
-      if (c < best) {
-        best = c;
-        meet = v;
-      }
-    }
-  };
-
-  const std::uint64_t nodeMask = (std::uint64_t{1} << nodeBits_) - 1;
-  nodes_[s].dist = 0;
-  nodes_[s].prevArc = -1;
-  nodes_[s].distStamp = epoch_;
-  bnodes_[t].dist = 0;
-  bnodes_[t].prevArc = -1;
-  bnodes_[t].distStamp = bepoch_;
-  heapPush(heap_, static_cast<std::uint64_t>(s));
-  heapPush(heapB_, static_cast<std::uint64_t>(t));
-  consider(s);
-  consider(t);
-
-  while (!heap_.empty() || !heapB_.empty()) {
-    const std::int64_t topF =
-        heap_.empty() ? kInf : static_cast<std::int64_t>(heap_.front() >> nodeBits_);
-    const std::int64_t topB =
-        heapB_.empty() ? kInf
-                       : static_cast<std::int64_t>(heapB_.front() >> nodeBits_);
-    if (best <= (topF >= kInf || topB >= kInf ? kInf : topF + topB)) break;
-    if (topF <= topB) {
-      const std::uint64_t top = heapPop(heap_);
-      ++counters_.queuePops;
-      const auto u = static_cast<std::size_t>(top & nodeMask);
-      if (nodes_[u].doneStamp == epoch_) continue;
-      nodes_[u].doneStamp = epoch_;
-      ++counters_.settles;
-      const auto d = static_cast<std::int64_t>(top >> nodeBits_);
-      const std::int64_t potU = nodes_[u].potential;
-      for (std::int64_t code = firstArcCode(u); code != -1;
-           code = nextArcCode(u, code)) {
-        if (residualOfCode(code) <= 0) continue;
-        const auto v = static_cast<std::size_t>(headOfCode(code));
-        Node& node = nodes_[v];
-        if (node.doneStamp == epoch_) continue;
-        const std::int64_t nd = d + costOfCode(code) + potU - node.potential;
-        assert(nd >= d && "reduced cost must be non-negative");
-        if (node.distStamp != epoch_ || nd < node.dist) {
-          node.dist = nd;
-          node.prevArc = static_cast<std::int32_t>(code);
-          node.distStamp = epoch_;
-          heapPush(heap_, (static_cast<std::uint64_t>(nd) << nodeBits_) |
-                              static_cast<std::uint64_t>(v));
-          ++counters_.heapPushes;
-          consider(v);
-        }
-      }
-    } else {
-      const std::uint64_t top = heapPop(heapB_);
-      ++counters_.queuePops;
-      const auto w = static_cast<std::size_t>(top & nodeMask);
-      if (bnodes_[w].doneStamp == bepoch_) continue;
-      bnodes_[w].doneStamp = bepoch_;
-      ++counters_.settles;
-      const auto d = static_cast<std::int64_t>(top >> nodeBits_);
-      const std::int64_t potW = nodes_[w].potential;
-      for (std::int64_t code = firstArcCode(w); code != -1;
-           code = nextArcCode(w, code)) {
-        // Partner arc: x -> w, the residual arc into w this step relaxes.
-        std::int64_t partner;
-        std::size_t x;
-        if (code >= 0) {
-          partner = static_cast<std::int64_t>(csrRev_[static_cast<std::size_t>(code)]);
-          x = static_cast<std::size_t>(csrArc_[static_cast<std::size_t>(code)].to);
-        } else {
-          const auto a = static_cast<std::size_t>(-code - 2);
-          partner = -static_cast<std::int64_t>(a ^ 1) - 2;
-          x = static_cast<std::size_t>(arcTo_[a]);
-        }
-        if (residualOfCode(partner) <= 0) continue;
-        BNode& node = bnodes_[x];
-        if (node.doneStamp == bepoch_) continue;
-        const std::int64_t nd =
-            d + costOfCode(partner) + nodes_[x].potential - potW;
-        assert(nd >= d && "reduced cost must be non-negative");
-        if (node.distStamp != bepoch_ || nd < node.dist) {
-          node.dist = nd;
-          node.prevArc = static_cast<std::int32_t>(partner);
-          node.distStamp = bepoch_;
-          heapPush(heapB_, (static_cast<std::uint64_t>(nd) << nodeBits_) |
-                               static_cast<std::uint64_t>(x));
-          ++counters_.heapPushes;
-          consider(x);
-        }
-      }
-    }
-  }
-  if (meet == static_cast<std::size_t>(-1)) return false;
-
-  // Stitch the two prevArc chains into one arc-code walk s -> ... -> t.
-  std::vector<std::int64_t> codes;
-  for (std::size_t v = meet; v != s;) {
-    const std::int32_t code = nodes_[v].prevArc;
-    codes.push_back(code);
-    v = static_cast<std::size_t>(tailOfCode(code));
-  }
-  std::reverse(codes.begin(), codes.end());
-  for (std::size_t v = meet; v != t;) {
-    const std::int32_t code = bnodes_[v].prevArc;
-    codes.push_back(code);
-    v = static_cast<std::size_t>(headOfCode(code));
-  }
-
-  // The halves may overlap (a node settled by both sides); excise any
-  // cycle so each arc appears at most once — cycles on a shortest walk
-  // have zero reduced cost, so the remaining simple path is still minimal.
-  std::vector<std::int64_t> path;
-  std::vector<std::size_t> nodeSeq{s};
-  std::unordered_map<std::size_t, std::size_t> at{{s, 0}};
-  for (const std::int64_t code : codes) {
-    const auto v = static_cast<std::size_t>(headOfCode(code));
-    if (const auto it = at.find(v); it != at.end()) {
-      while (nodeSeq.size() > it->second + 1) {
-        at.erase(nodeSeq.back());
-        nodeSeq.pop_back();
-        path.pop_back();
-      }
-      continue;
-    }
-    path.push_back(code);
-    nodeSeq.push_back(v);
-    at.emplace(v, nodeSeq.size() - 1);
-  }
-
-  for (const std::int64_t code : path) {
-    assert(residualOfCode(code) > 0);
-    pushOnCode(code, 1);
-    cost += costOfCode(code);
-  }
-  ++counters_.augmentations;
-  potentialsDirty_ = true;
-  return true;
-}
-
 MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
                                      std::int64_t maxFlow) {
   ensureCsr();
-  if (potentialsDirty_) repairPotentials();
   Result result;
 
   // Lazy queue storage. Bucket array is distance-indexed (bucketSpan_
@@ -933,16 +419,6 @@ MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
     if (sinkCap <= 0) {
       ++counters_.earlyExits;
       break;
-    }
-    // Opt-in fast path for the last unit of demand: meet-in-the-middle
-    // Dijkstra instead of a full forward pass. Runs at most once per
-    // run() call (the unit either routes, finishing the loop, or fails).
-    if (fastSsp_ && maxFlow - result.flow == 1 && s != t) {
-      if (!augmentBidir(s, t, result.cost)) break;
-      result.flow += 1;
-      flowUnits_ += 1;
-      sinkCap -= 1;
-      continue;
     }
     // Dijkstra on reduced costs. "Clearing" dist/done is an epoch bump;
     // unlabeled == stamp mismatch.
@@ -1079,20 +555,6 @@ MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
     }
     settled_.clear();
 
-    // Opt-in multi-augmentation: saturate every admissible shortest path
-    // in the zero-reduced-cost subgraph left by the potential update,
-    // instead of one path per pass. The sink's predecessor path is tight
-    // under the new potentials, so at least one unit always routes.
-    if (fastSsp_) {
-      const std::int64_t pushed =
-          augmentTightPaths(s, t, maxFlow - result.flow, result.cost);
-      if (pushed <= 0) break;  // unreachable; guards against a stall
-      result.flow += pushed;
-      flowUnits_ += pushed;
-      sinkCap -= pushed;
-      continue;
-    }
-
     // Bottleneck along the path. prevArc holds CSR positions (>= 0, tail
     // reachable via the reverse arc) or overlay arc ids encoded as
     // -(arc + 2) (tail stored directly in the ingest arrays).
@@ -1140,12 +602,6 @@ MinCostFlow::Result MinCostFlow::run(std::size_t s, std::size_t t,
   counters_.queuePops += nQueuePops;
   counters_.settles += nSettles;
   return result;
-}
-
-MinCostFlow::Result MinCostFlow::rerun(std::size_t s, std::size_t t,
-                                       std::int64_t maxFlow) {
-  resetFlow();
-  return run(s, t, maxFlow);
 }
 
 std::int64_t MinCostFlow::flowOn(std::size_t edgeId) const {

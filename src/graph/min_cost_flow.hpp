@@ -32,28 +32,27 @@ namespace pacor::graph {
 /// ## Mutable-solver API (incremental sessions)
 ///
 /// Beyond the classic build-once/run-once usage, the solver is a mutable
-/// object that supports warm restarts across topology edits:
+/// object that one escape session reuses across rip-up rounds:
 ///
 ///  * The CSR is built exactly once (at the first run or mutation). Edges
 ///    added afterwards land in a small *overlay* adjacency that is scanned
-///    after a node's CSR arcs — which is exactly the position they would
+///    after a node's CSR arcs -- which is exactly the position they would
 ///    occupy under per-node insertion order, so a solver that received the
 ///    same edges pre-build relaxes arcs in the same sequence and computes
 ///    the same flow, augmenting path for augmenting path.
-///  * setCapacity / disableNode / enableNode edit capacities in place
-///    (cancelling any flow that the edit strands), cancelFlowThrough pushes
-///    routed flow back along the residual graph so conservation holds
-///    after an edit, and truncateEdges drops a suffix of overlay edges
-///    (the per-round arcs of a session).
 ///  * resetFlow() returns the network to its zero-flow state in
 ///    O(arcs touched by augmentation), not O(arcs), via a dirty list, and
-///    rerun() = resetFlow() + run(): a warm restart that reuses the CSR,
-///    the stamped search state, and all allocations. Potentials are
-///    cleared on reset — re-solving from the zero state with zeroed
-///    potentials reproduces the cold solver's augmentation sequence
-///    bit-for-bit, which keeps incremental results byte-identical to
-///    from-scratch solves (reusing the previous solve's potentials would
-///    silently change (distance, node) tie-breaking on equal-cost paths).
+///    clears the Johnson potentials.
+///  * Topology edits -- setCapacity, disableNode, enableNode, and adding
+///    overlay edges -- are *zero-flow edits*: legal before the first run()
+///    or after resetFlow(), and asserted. At zero flow every potential is
+///    zero and every arc cost is non-negative, so an edit can never leave a
+///    negative reduced cost behind and the potentials need no repair. A
+///    re-solve from that state reproduces a cold solver's augmentation
+///    sequence bit-for-bit, which keeps session results byte-identical to
+///    a freshly built network.
+///  * truncateEdges drops a suffix of overlay edges (the per-round arcs of
+///    a session), also at zero flow.
 ///
 /// ## Open list: Dial buckets with a heap fallback
 ///
@@ -71,26 +70,6 @@ namespace pacor::graph {
 /// stale entries included: default-mode results stay bit-identical, and
 /// setBucketQueue(false) selects the pure heap for A/B tests and
 /// benchmarks.
-///
-/// ## Fast mode (multi-augmentation + bidirectional refinement)
-///
-/// setFastSsp(true) enables two refinements that keep the (flow, cost)
-/// optimum but reorder augmentations, so equal-cost ties may resolve to
-/// different (equally optimal) paths:
-///
-///  * after each Dijkstra pass + potential update, a blocking-flow DFS
-///    saturates *every* admissible path of the zero-reduced-cost subgraph
-///    (all such paths cost exactly the sink distance, and augmenting
-///    tight arcs keeps the potentials valid), instead of one path per
-///    pass;
-///  * when exactly one unit of demand remains — the warm-rerun / ECO
-///    shape — the final path comes from a bidirectional Dijkstra over
-///    reduced costs (forward from the source, backward over reverse
-///    residual arcs from the sink) that stops as soon as the frontiers
-///    prove a meeting path minimal.
-///
-/// Both preserve the min-cost max-flow optimum: callers that need
-/// bit-identical output to the classic solver simply leave fast mode off.
 class MinCostFlow {
  public:
   explicit MinCostFlow(std::size_t nodeCount);
@@ -103,6 +82,7 @@ class MinCostFlow {
   /// Adds a directed edge u -> v. Returns an edge id usable with flowOn().
   /// Edges added after the first run/mutation go to the overlay (no CSR
   /// rebuild); they behave as if inserted at the same point pre-build.
+  /// Adding an overlay edge is a zero-flow edit.
   std::size_t addEdge(std::size_t u, std::size_t v, std::int64_t capacity,
                       std::int64_t cost);
 
@@ -111,13 +91,11 @@ class MinCostFlow {
     std::int64_t cost = 0;
   };
 
-  /// Cumulative solver-effort counters across run()/rerun() calls; the
+  /// Cumulative solver-effort counters across run() calls; the
   /// escape metrics (`escape.flow.*`) and bench_min_cost_flow read these.
   struct Counters {
     std::uint64_t dijkstraPasses = 0;  ///< label passes started
-    std::uint64_t augmentations = 0;   ///< augmenting paths applied (all kinds)
-    std::uint64_t multiAugPaths = 0;   ///< paths found by the fast-mode DFS
-    std::uint64_t bidirPasses = 0;     ///< bidirectional last-unit searches
+    std::uint64_t augmentations = 0;   ///< augmenting paths applied
     std::uint64_t bucketPushes = 0;    ///< open-list inserts into Dial buckets
     std::uint64_t heapPushes = 0;      ///< open-list inserts into the 4-ary heap
     std::uint64_t queuePops = 0;       ///< open-list pops, stale entries included
@@ -162,13 +140,6 @@ class MinCostFlow {
     return span;
   }
 
-  /// Enables multi-augmentation + the bidirectional last-unit refinement.
-  /// The (flow, cost) optimum is unchanged; individual equal-cost paths
-  /// may differ from the classic solver, so callers relying on golden
-  /// hashes must leave this off.
-  void setFastSsp(bool on) noexcept { fastSsp_ = on; }
-  bool fastSsp() const noexcept { return fastSsp_; }
-
   /// Builds the CSR over the edges added so far (normally deferred to the
   /// first run or mutation). Every edge added afterwards goes to the
   /// overlay; a session calls this once after laying down its persistent
@@ -180,12 +151,6 @@ class MinCostFlow {
   Result run(std::size_t s, std::size_t t,
              std::int64_t maxFlow = std::int64_t{1} << 60);
 
-  /// Warm restart: resetFlow() followed by run(). Reuses the CSR, the
-  /// stamped per-node search state, and every allocation of the previous
-  /// solve; only the arcs the previous solve actually touched are repaired.
-  Result rerun(std::size_t s, std::size_t t,
-               std::int64_t maxFlow = std::int64_t{1} << 60);
-
   /// Flow currently on edge `edgeId` (as returned by addEdge).
   std::int64_t flowOn(std::size_t edgeId) const;
 
@@ -195,39 +160,24 @@ class MinCostFlow {
   /// Current base capacity of edge `edgeId` (as set by addEdge/setCapacity).
   std::int64_t capacityOf(std::size_t edgeId) const { return baseCap_[edgeId]; }
 
-  /// Total s->t units currently routed in the network (augmented minus
-  /// cancelled).
+  /// Total s->t units currently routed in the network.
   std::int64_t totalFlowUnits() const noexcept { return flowUnits_; }
 
-  /// Changes the capacity of `edgeId`. If the edge currently carries more
-  /// than `capacity` units, the excess is cancelled first (pushed back
-  /// along the residual graph), so capacity/flow invariants hold.
+  /// Changes the capacity of `edgeId`. A zero-flow edit.
   void setCapacity(std::size_t edgeId, std::int64_t capacity);
 
-  /// Disables `node`: cancels all flow through it, then zeroes the
-  /// residual capacity of every incident arc, so no future augmenting
-  /// path can use it. Idempotent.
+  /// Disables `node`: zeroes the residual capacity of every incident arc,
+  /// so no augmenting path can use it. Idempotent; a zero-flow edit.
   void disableNode(std::size_t node);
 
   /// Re-enables `node`: restores the base capacity of every incident arc
-  /// whose other endpoint is not itself disabled. Idempotent.
+  /// whose other endpoint is not itself disabled. Idempotent; a zero-flow
+  /// edit.
   void enableNode(std::size_t node);
 
   bool nodeDisabled(std::size_t node) const {
     return !disabled_.empty() && disabled_[node] != 0;
   }
-
-  /// Cancels up to `maxUnits` units of flow crossing `edgeId`, pushing
-  /// each unit back along flow-carrying arcs toward the source and sink
-  /// (the residual-graph repair that keeps conservation intact after an
-  /// edit). Returns the number of units cancelled; the network's total
-  /// s->t flow drops by that amount.
-  std::int64_t cancelFlowThrough(std::size_t edgeId,
-                                 std::int64_t maxUnits = std::int64_t{1} << 60);
-
-  /// Cancels every unit of flow passing through `node` (including flow
-  /// originating or terminating there). Returns the units cancelled.
-  std::int64_t cancelFlowThroughNode(std::size_t node);
 
   /// Returns the network to its zero-flow state and clears the Johnson
   /// potentials. Cost is proportional to the number of arcs the previous
@@ -235,9 +185,9 @@ class MinCostFlow {
   void resetFlow();
 
   /// Drops every edge with id >= `edgeCount` (a suffix). The dropped
-  /// edges must be overlay edges (added after the CSR build) and must be
-  /// flow-free — call resetFlow() or cancel their flow first. This is how
-  /// a session discards its per-round arcs while keeping the persistent
+  /// edges must be overlay edges (added after the CSR build), and the
+  /// network must be at zero flow (call resetFlow() first). This is how a
+  /// session discards its per-round arcs while keeping the persistent
   /// network.
   void truncateEdges(std::size_t edgeCount);
 
@@ -263,32 +213,16 @@ class MinCostFlow {
   std::int64_t capOfArc(std::size_t arcId) const;
   void setArcResidual(std::size_t arcId, std::int64_t cap);
   std::int64_t zeroFlowCap(std::size_t arcId) const;
-  void markDirtyArc(std::size_t arcId);
   bool arcEndpointDisabled(std::size_t arcId) const {
     return nodeDisabled(static_cast<std::size_t>(arcFrom_[arcId])) ||
            nodeDisabled(static_cast<std::size_t>(arcTo_[arcId]));
   }
-  /// First arc out of `node` (scan order) with `pred(arcId)`; -1 if none.
-  template <typename Pred>
-  std::int64_t findArcFrom(std::size_t node, Pred&& pred) const;
-  void cancelUnitBackwardFrom(std::size_t node);
-  void cancelUnitForwardFrom(std::size_t node);
-  void repairPotentials();
   std::int64_t remainingSinkCapacity(std::size_t t) const;
-  std::int64_t augmentTightPaths(std::size_t s, std::size_t t, std::int64_t budget,
-                                 std::int64_t& cost);
-  bool augmentBidir(std::size_t s, std::size_t t, std::int64_t& cost);
-
-  // Arc-code helpers shared by the fast-mode refinements. A code is the
-  // prevArc encoding: a CSR position (>= 0) or an overlay arc id a as
-  // -(a + 2); -1 is the end-of-scan sentinel.
-  std::int64_t firstArcCode(std::size_t u) const;
-  std::int64_t nextArcCode(std::size_t u, std::int64_t code) const;
-  std::int64_t residualOfCode(std::int64_t code) const;
-  std::int32_t headOfCode(std::int64_t code) const;
-  std::int32_t tailOfCode(std::int64_t code) const;
-  std::int64_t costOfCode(std::int64_t code) const;
-  void pushOnCode(std::int64_t code, std::int64_t units);
+  /// True when no flow is routed and no arc deviates from its zero-flow
+  /// residual: the only state in which topology edits are legal.
+  bool atZeroFlow() const noexcept {
+    return flowUnits_ == 0 && dirtyCsr_.empty() && dirtyOv_.empty();
+  }
 
   // Edge ingest order; arc a = 2 * edge + (backward ? 1 : 0). arcCap_ is
   // authoritative for overlay arcs (and for all arcs until the CSR is
@@ -344,12 +278,11 @@ class MinCostFlow {
   std::vector<std::uint8_t> disabled_;  ///< per node; lazily sized
 
   // Arcs whose residual diverged from the zero-flow value because of
-  // augmentation / cancellation; resetFlow() repairs exactly these.
-  // Entries may repeat (restoration is idempotent).
+  // augmentation; resetFlow() repairs exactly these. Entries may repeat
+  // (restoration is idempotent).
   std::vector<std::int32_t> dirtyCsr_;  ///< CSR positions
   std::vector<std::int32_t> dirtyOv_;   ///< overlay arc ids
   std::int64_t flowUnits_ = 0;
-  bool potentialsDirty_ = false;  ///< an edit may have broken reduced costs
 
   // Open list, heap part: a 4-ary heap of keys packed as
   // (distance << nodeBits_) | node. Packed comparison is exactly the
@@ -388,28 +321,6 @@ class MinCostFlow {
   void bmInsert(std::size_t v);
   std::size_t bmPopMin();
   void bmClearAll();
-
-  // Fast-mode scratch: blocking-flow DFS state (current-arc cursors,
-  // blocked/on-path stamps) and the backward labels + heap of the
-  // bidirectional refinement. All lazily sized; idle unless fastSsp_.
-  bool fastSsp_ = false;
-  std::vector<std::int64_t> dfsCur_;
-  std::vector<std::uint32_t> dfsCurStamp_;
-  std::vector<std::uint32_t> dfsBlockedStamp_;
-  std::vector<std::uint32_t> dfsOnPathStamp_;
-  std::vector<std::int32_t> dfsStackNode_;
-  std::vector<std::int64_t> dfsStackArc_;
-  std::uint32_t dfsPhase_ = 0;
-  std::uint32_t dfsPathId_ = 0;
-  struct BNode {
-    std::int64_t dist;
-    std::int32_t prevArc;
-    std::uint32_t distStamp;
-    std::uint32_t doneStamp;
-  };
-  std::vector<BNode> bnodes_;
-  std::vector<std::uint64_t> heapB_;
-  std::uint32_t bepoch_ = 0;
 
   Counters counters_;
 };

@@ -1,10 +1,7 @@
 #include "graph/mst.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <numeric>
-
-#include "graph/dsu.hpp"
 
 namespace pacor::graph {
 
@@ -42,21 +39,6 @@ std::vector<WeightedEdge> manhattanMst(std::span<const geom::Point> points) {
         best[j] = c;
         from[j] = pick;
       }
-    }
-  }
-  return tree;
-}
-
-std::vector<WeightedEdge> kruskalMst(std::size_t vertexCount,
-                                     std::vector<WeightedEdge> edges) {
-  std::sort(edges.begin(), edges.end(),
-            [](const WeightedEdge& x, const WeightedEdge& y) { return x.cost < y.cost; });
-  Dsu dsu(vertexCount);
-  std::vector<WeightedEdge> tree;
-  for (const WeightedEdge& e : edges) {
-    if (dsu.unite(e.a, e.b)) {
-      tree.push_back(e);
-      if (tree.size() + 1 == vertexCount) break;
     }
   }
   return tree;

@@ -23,11 +23,6 @@ struct WeightedEdge {
 /// (paper Sec. 3, "MST-based cluster routing").
 std::vector<WeightedEdge> manhattanMst(std::span<const geom::Point> points);
 
-/// Kruskal MST over an explicit edge list on `vertexCount` vertices.
-/// Returns the forest edges (|V|-1 when connected).
-std::vector<WeightedEdge> kruskalMst(std::size_t vertexCount,
-                                     std::vector<WeightedEdge> edges);
-
 /// Total cost of an edge set.
 std::int64_t totalCost(std::span<const WeightedEdge> edges);
 

@@ -60,23 +60,6 @@ struct PacorConfig {
   /// Escape solver (kSequential is the ablation baseline of Sec. 5).
   EscapeMode escapeMode = EscapeMode::kMinCostFlow;
 
-  /// Serve the min-cost-flow escape passes from one persistent
-  /// EscapeFlowSession (warm restarts with per-round deltas) instead of
-  /// rebuilding the flow network every rip-up round. Results are
-  /// bit-identical either way; this only removes build work. The
-  /// `--no-incremental-escape` CLI flag clears it as an escape hatch.
-  bool incrementalEscape = true;
-
-  /// Fast escape-flow mode (`route --fast-escape`): the min-cost-flow
-  /// solver saturates every admissible shortest path per Dijkstra pass
-  /// (blocking-flow multi-augmentation) and routes a final single unit of
-  /// demand bidirectionally. The routed count and total escape cost are
-  /// unchanged -- the optimum is the same -- but equal-cost ties may
-  /// resolve to different paths than the classic one-path-per-pass solver,
-  /// so output is validated by the src/verify oracle and the differential
-  /// fuzzer instead of golden hashes. Off by default.
-  bool fastEscape = false;
-
   /// Matching-driven rip-up passes: when a constrained cluster routes but
   /// cannot be equalized (its escape anchored at a leaf because a plain
   /// tree walls it in), relax the nearest plain blocker and redo the

@@ -12,19 +12,6 @@
 namespace pacor::core {
 namespace {
 
-/// Flow-node numbering: cell c gets nodes 2c (in) and 2c+1 (out); cluster
-/// virtual nodes, super source and super sink follow after.
-struct NodeIds {
-  std::int64_t cellCount;
-  std::size_t clusterBase;
-  std::size_t source;
-  std::size_t sink;
-
-  std::size_t in(std::int32_t cell) const { return static_cast<std::size_t>(2 * cell); }
-  std::size_t out(std::int32_t cell) const { return static_cast<std::size_t>(2 * cell + 1); }
-  std::size_t cluster(std::size_t k) const { return clusterBase + k; }
-};
-
 double secondsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -33,185 +20,25 @@ double secondsSince(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                          std::span<WorkCluster*> clusters, bool fastEscape) {
-  EscapeOutcome outcome;
-  const grid::Grid& g = obstacles.grid();
-
-  std::vector<std::size_t> pendingIdx;
-  for (std::size_t i = 0; i < clusters.size(); ++i)
-    if (clusters[i]->internallyRouted && clusters[i]->pin < 0) pendingIdx.push_back(i);
-  outcome.requested = static_cast<int>(pendingIdx.size());
-  if (pendingIdx.empty()) return outcome;
-
-  trace::Span spanBuild("escape.flow_build", "escape", trace::Level::kCluster);
-  const auto buildT0 = std::chrono::steady_clock::now();
-
-  // Pins already consumed by previously escaped clusters stay reserved.
-  std::unordered_set<Point> takenPins;
-  for (const WorkCluster* wc : clusters)
-    if (wc->pin >= 0) takenPins.insert(chip.pin(wc->pin).pos);
-
-  NodeIds ids{g.cellCount(),
-              static_cast<std::size_t>(2 * g.cellCount()),
-              static_cast<std::size_t>(2 * g.cellCount()) + pendingIdx.size(),
-              static_cast<std::size_t>(2 * g.cellCount()) + pendingIdx.size() + 1};
-  graph::MinCostFlow flow(ids.sink + 1);
-  flow.setFastSsp(fastEscape);
-  // Size the Dial bucket span from the grid diameter: step costs are unit
-  // and tap biases at most two Manhattan diameters, so a few diameters
-  // cover every label this network produces. Small dies get a small
-  // bucket array; FPVA-scale dies keep O(1) pushes instead of degrading
-  // to the overflow heap. Longer labels would still solve correctly.
-  flow.setBucketSpan(graph::MinCostFlow::recommendedBucketSpan(
-      4 * (static_cast<std::int64_t>(g.width()) + g.height())));
-
-  // Usable transit cells: free cells only (routed nets and obstacles
-  // block; constraint 8 additionally blocks non-pin boundary cells, which
-  // the pipeline already turned into obstacles).
-  const auto transit = [&](Point p) { return obstacles.isFree(p); };
-
-  // Node split: in -> out, capacity 1 (constraint 12), cost 0.
-  for (std::int32_t c = 0; c < g.cellCount(); ++c) {
-    if (!transit(g.point(c))) continue;
-    flow.addEdge(ids.in(c), ids.out(c), 1, 0);
-  }
-
-  // Adjacency arcs out(a) -> in(b), cost 1 per grid step. Edge ids are
-  // dense, so a flat (from, to) table beats hashing on the big dies.
-  std::vector<std::pair<std::int32_t, std::int32_t>> stepArc;  // by edge id
-  const auto padStepArc = [&](std::size_t id) {
-    if (stepArc.size() <= id) stepArc.resize(id + 1, {-1, -1});
-  };
-  for (std::int32_t c = 0; c < g.cellCount(); ++c) {
-    const Point p = g.point(c);
-    if (!transit(p)) continue;
-    g.forNeighbors(p, [&](Point q) {
-      if (!transit(q)) return;
-      const std::size_t e = flow.addEdge(ids.out(c), ids.in(g.index(q)), 1, 1);
-      padStepArc(e);
-      stepArc[e] = {c, g.index(q)};
-    });
-  }
-
-  // Cluster supplies: source -> cluster (cap 1), cluster -> in(f) for
-  // every free neighbor f of a tap cell (cost 1: the step off the tree).
-  std::vector<std::size_t> supplyEdge(pendingIdx.size());
-  std::vector<std::vector<std::size_t>> tapArcs(pendingIdx.size());
-  std::vector<std::int32_t> tapArcCell;  // by edge id; -1 for non-tap arcs
-  const auto padTapArc = [&](std::size_t id) {
-    if (tapArcCell.size() <= id) tapArcCell.resize(id + 1, -1);
-  };
-  for (std::size_t k = 0; k < pendingIdx.size(); ++k) {
-    const WorkCluster& wc = *clusters[pendingIdx[k]];
-    supplyEdge[k] = flow.addEdge(ids.source, ids.cluster(k), 1, 0);
-    // Wide-tap clusters (matched trees whose root was walled in) may
-    // attach anywhere, but every cell of asymmetry must later be paid in
-    // detour length -- bias the flow toward near-root attachments by
-    // pricing the attach arc with the distance from the root.
-    std::unordered_map<Point, std::int64_t> fanout;
-    for (const Point tap : wc.tapCells) {
-      const std::int64_t bias = wc.wideTap ? 2 * geom::manhattan(tap, wc.tap) : 0;
-      g.forNeighbors(tap, [&](Point q) {
-        if (!transit(q)) return;
-        const auto [it, fresh] = fanout.emplace(q, bias);
-        if (!fresh) it->second = std::min(it->second, bias);
-      });
-    }
-    for (const auto& [f, bias] : fanout) {
-      const std::size_t e = flow.addEdge(ids.cluster(k), ids.in(g.index(f)), 1, 1 + bias);
-      tapArcs[k].push_back(e);
-      padTapArc(e);
-      tapArcCell[e] = g.index(f);
-    }
-  }
-
-  // Pins: out(pin) -> sink, capacity 1 each (one cluster per pin).
-  for (const chip::ControlPin& pin : chip.pins) {
-    if (takenPins.contains(pin.pos) || !transit(pin.pos)) continue;
-    flow.addEdge(ids.out(g.index(pin.pos)), ids.sink, 1, 0);
-  }
-
-  spanBuild.arg("pending", static_cast<std::int64_t>(pendingIdx.size()));
-  spanBuild.close();
-  outcome.flowBuildSeconds = secondsSince(buildT0);
-
-  trace::Span spanRun("escape.flow_run", "escape", trace::Level::kCluster);
-  const auto runT0 = std::chrono::steady_clock::now();
-  const auto result =
-      flow.run(ids.source, ids.sink, static_cast<std::int64_t>(pendingIdx.size()));
-  outcome.routedCount = static_cast<int>(result.flow);
-  outcome.flowCost = result.cost;
-  outcome.flowRunSeconds = secondsSince(runT0);
-  outcome.flowCounters = flow.counters();
-  spanRun.arg("routed", result.flow);
-  spanRun.close();
-
-  trace::Span spanDecompose("escape.decompose", "escape", trace::Level::kCluster);
-
-  // Pin lookup by cell for assignment.
-  std::unordered_map<Point, chip::PinId> pinAt;
-  for (const chip::ControlPin& pin : chip.pins) pinAt.emplace(pin.pos, pin.id);
-
-  // Decompose per-cluster unit flows into escape paths.
-  std::vector<std::int32_t> nextCell(static_cast<std::size_t>(g.cellCount()), -1);
-  for (std::size_t e = 0; e < stepArc.size(); ++e)
-    if (stepArc[e].first >= 0 && flow.flowOn(e) > 0)
-      nextCell[static_cast<std::size_t>(stepArc[e].first)] = stepArc[e].second;
-
-  for (std::size_t k = 0; k < pendingIdx.size(); ++k) {
-    WorkCluster& wc = *clusters[pendingIdx[k]];
-    if (flow.flowOn(supplyEdge[k]) == 0) {
-      outcome.failed.push_back(pendingIdx[k]);
-      continue;
-    }
-    std::int32_t first = -1;
-    for (const std::size_t e : tapArcs[k])
-      if (flow.flowOn(e) > 0) {
-        first = tapArcCell[e];
-        break;
-      }
-
-    route::Path path;
-    // Anchor the path at an adjacent tap cell of this cluster.
-    const Point firstPoint = g.point(first);
-    Point anchor = wc.tapCells.front();
-    for (const Point tap : wc.tapCells)
-      if (geom::manhattan(tap, firstPoint) == 1) {
-        anchor = tap;
-        break;
-      }
-    path.push_back(anchor);
-    for (std::int32_t c = first;;) {
-      path.push_back(g.point(c));
-      const std::int32_t n = nextCell[static_cast<std::size_t>(c)];
-      if (n < 0) break;
-      nextCell[static_cast<std::size_t>(c)] = -1;  // consume
-      c = n;
-    }
-
-    wc.escapePath = path;
-    wc.pin = pinAt.at(path.back());
-    // The anchor cell already belongs to the cluster; occupy the rest.
-    obstacles.occupy(std::span<const Point>(path.data() + 1, path.size() - 1), wc.net);
-  }
-
-  return outcome;
+                          std::span<WorkCluster*> clusters) {
+  return EscapeFlowSession(chip, obstacles).route(clusters);
 }
 
 EscapeFlowSession::EscapeFlowSession(const chip::Chip& chip,
-                                     grid::ObstacleMap& obstacles,
-                                     bool fastEscape)
+                                     grid::ObstacleMap& obstacles)
     : chip_(&chip),
       obstacles_(&obstacles),
       flow_(static_cast<std::size_t>(2 * obstacles.grid().cellCount()) +
             chip.valves.size() + 2),
       valveCapacity_(chip.valves.size()) {
-  flow_.setFastSsp(fastEscape);
   trace::Span spanBuild("escape.flow_build", "escape", trace::Level::kCluster);
   const auto buildT0 = std::chrono::steady_clock::now();
   const grid::Grid& g = obstacles_->grid();
-  // Same diameter-derived Dial span as escapeRoute(): identical settle
-  // order at any span, so session solves stay byte-identical to scratch.
+  // Size the Dial bucket span from the grid diameter: step costs are unit
+  // and tap biases at most two Manhattan diameters, so a few diameters
+  // cover every label this network produces. Small dies get a small
+  // bucket array; FPVA-scale dies keep O(1) pushes instead of degrading
+  // to the overflow heap. Longer labels would still solve correctly.
   flow_.setBucketSpan(graph::MinCostFlow::recommendedBucketSpan(
       4 * (static_cast<std::int64_t>(g.width()) + g.height())));
   const auto cellCount = static_cast<std::size_t>(g.cellCount());
@@ -226,13 +53,13 @@ EscapeFlowSession::EscapeFlowSession(const chip::Chip& chip,
   for (std::size_t c = 0; c < cellCount; ++c)
     freeMirror_[c] = obstacles_->isFree(g.point(static_cast<std::int32_t>(c))) ? 1 : 0;
 
-  // Persistent network over every cell. Arcs match escapeRoute()'s
-  // insertion order per node: split, then adjacency, then the pin arc.
-  // Blocked cells are handled below by disabling their in-node, which
-  // zero-caps the split arc and every adjacency arc into the cell --
-  // adjacency is thereby gated on its head cell only, exactly the
-  // reachable-arc set of the scratch build (a blocked tail's out-node is
-  // unreachable because its own split arc is closed).
+  // Persistent network over every cell, in per-node insertion order:
+  // node split in(c) -> out(c) (capacity 1, constraint 12), adjacency
+  // out(c) -> in(q) at one cost unit per grid step, then the pin arc
+  // out(pin) -> sink (one cluster per pin). Blocked cells are handled
+  // below by disabling their in-node, which zero-caps the split arc and
+  // every adjacency arc into the cell -- a blocked tail's out-node is
+  // unreachable because its own split arc is closed.
   splitEdge_.resize(cellCount);
   for (std::size_t c = 0; c < cellCount; ++c)
     splitEdge_[c] = flow_.addEdge(2 * c, 2 * c + 1, 1, 0);
@@ -277,11 +104,9 @@ bool EscapeFlowSession::compatibleWith(const chip::Chip& chip) const noexcept {
   return true;
 }
 
-void EscapeFlowSession::rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                               bool fastEscape) {
+void EscapeFlowSession::rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles) {
   chip_ = &chip;
   obstacles_ = &obstacles;
-  flow_.setFastSsp(fastEscape);
   // Nothing else: the next route() already resets the flow, truncates the
   // overlay, and diffs freeMirror_ against the new map's occupancy -- the
   // same path every warm round takes within one request.
@@ -337,9 +162,14 @@ EscapeOutcome EscapeFlowSession::route(std::span<WorkCluster*> clusters) {
     flow_.setCapacity(pinEdge_[i], open ? 1 : 0);
   }
 
-  // Per-round cluster supplies and tap fanout, on the overlay. Mirrors
-  // escapeRoute() exactly, including the per-cluster fanout map whose
-  // iteration order decides tap-arc insertion order.
+  // Per-round cluster supplies and tap fanout, on the overlay: source ->
+  // cluster (capacity 1), cluster -> in(f) for every free neighbor f of a
+  // tap cell (cost 1: the step off the tree). Wide-tap clusters (matched
+  // trees whose root was walled in) may attach anywhere, but every cell of
+  // asymmetry must later be paid in detour length -- the attach arc is
+  // priced with the distance from the root to bias toward near-root
+  // attachments. The fanout map's iteration order decides tap-arc
+  // insertion order.
   std::vector<std::size_t> supplyEdge(pendingIdx.size());
   std::vector<std::vector<std::size_t>> tapArcs(pendingIdx.size());
   std::vector<std::int32_t> tapArcCell;  // by (edge id - persistentEdges_)
@@ -414,6 +244,7 @@ EscapeOutcome EscapeFlowSession::route(std::span<WorkCluster*> clusters) {
       }
 
     route::Path path;
+    // Anchor the path at an adjacent tap cell of this cluster.
     const Point firstPoint = g.point(first);
     Point anchor = wc.tapCells.front();
     for (const Point tap : wc.tapCells)
@@ -432,6 +263,7 @@ EscapeOutcome EscapeFlowSession::route(std::span<WorkCluster*> clusters) {
 
     wc.escapePath = path;
     wc.pin = pinAt_.at(path.back());
+    // The anchor cell already belongs to the cluster; occupy the rest.
     obstacles_->occupy(std::span<const Point>(path.data() + 1, path.size() - 1),
                       wc.net);
   }

@@ -42,13 +42,11 @@ struct EscapeOutcome {
 /// Successful clusters get escapePath (tap ... pin) committed into
 /// `obstacles` and their pin assigned. Already-escaped clusters (pin >= 0)
 /// are left untouched and their pins stay reserved.
-/// `fastEscape` enables the solver's multi-augmentation/bidirectional fast
-/// mode (MinCostFlow::setFastSsp): same (flow, cost) optimum, but
-/// equal-cost ties may route along different paths, so it is opt-in and
-/// validated by the oracle rather than golden hashes.
+///
+/// A one-round EscapeFlowSession: callers that escape repeatedly against
+/// one design (the pipeline's rip-up rounds) hold a session instead.
 EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                          std::span<WorkCluster*> clusters,
-                          bool fastEscape = false);
+                          std::span<WorkCluster*> clusters);
 
 /// Persistent escape-flow solver that survives across pipeline rip-up
 /// rounds. Constructed once per design, it lays down the full node-split
@@ -62,22 +60,21 @@ EscapeOutcome escapeRoute(const chip::Chip& chip, grid::ObstacleMap& obstacles,
 ///  * pin arcs are re-priced to 1/0 as pins are consumed or released;
 ///  * per-round cluster supply and tap arcs go to the solver's overlay and
 ///    are truncated again at the start of the next round;
-///  * the solve itself is a warm rerun() -- no node renumbering, no arc
-///    re-insertion, no CSR rebuild.
+///  * every edit happens at zero flow (MinCostFlow::resetFlow() first), and
+///    the solve itself is a fresh run() on the edited network -- no node
+///    renumbering, no arc re-insertion, no CSR rebuild.
 ///
-/// The delta rules are chosen so the positive-capacity arc set, and its
-/// per-node scan order, is identical to what escapeRoute() builds from
-/// scratch each round: zero-capacity arcs relax exactly like absent arcs,
+/// The delta rules keep the positive-capacity arc set, and its per-node
+/// scan order, equal to that of a session built fresh on the round's
+/// obstacle map: zero-capacity arcs relax exactly like absent arcs,
 /// overlay arcs scan after a node's CSR arcs (their insertion-order
 /// position), and cluster virtual nodes are renumbered per round in
-/// pending order. Solutions are therefore bit-identical to the
-/// from-scratch path; only the build work disappears.
+/// pending order. A warm round is therefore bit-identical to a cold one;
+/// only the build work disappears.
 class EscapeFlowSession {
  public:
   /// Snapshots the current obstacle state; later rounds diff against it.
-  /// `fastEscape` selects the solver's opt-in fast mode for every round.
-  EscapeFlowSession(const chip::Chip& chip, grid::ObstacleMap& obstacles,
-                    bool fastEscape = false);
+  EscapeFlowSession(const chip::Chip& chip, grid::ObstacleMap& obstacles);
 
   /// True when this session's frozen network can serve `chip`: same grid
   /// cell count, identical control pins, and no more valves than the
@@ -91,11 +88,11 @@ class EscapeFlowSession {
   /// (compatibleWith must hold). The next route() call diffs the free
   /// mirror against the new map -- exactly the per-round occupancy-diff
   /// path -- so a rebound session stays bit-identical to a session built
-  /// fresh on the new map. `fastEscape` may change per request.
-  void rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles, bool fastEscape);
+  /// fresh on the new map.
+  void rebind(const chip::Chip& chip, grid::ObstacleMap& obstacles);
 
-  /// Drop-in replacement for escapeRoute(): one escape pass over the
-  /// given clusters against the session's obstacle map.
+  /// One escape pass over the given clusters against the session's
+  /// obstacle map (see escapeRoute() for the contract).
   EscapeOutcome route(std::span<WorkCluster*> clusters);
 
   /// Warm-restart counters for the `escape.flow.*` metrics.

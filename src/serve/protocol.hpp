@@ -53,8 +53,7 @@ enum class Variant { kPacor, kWosel, kDetourFirst };
 ///
 ///   [eco|gen ]<design> [delta=PATH] [sol=PATH] [metrics=PATH]
 ///       [trace=PATH] [trace-level=stage|cluster|search]
-///       [variant=pacor|wosel|detour-first] [no-incremental-escape]
-///       [fast-escape] [deadline_ms=N]
+///       [variant=pacor|wosel|detour-first] [deadline_ms=N]
 ///
 /// <design> is a Table-1 name (Chip1, Chip2, S1..S5), an FPVA spec
 /// (fpva:NxM[:key=val...]), or a path to a .chip file; it doubles as the
@@ -69,8 +68,6 @@ struct Request {
   std::string deltaPath;  ///< eco only: edit script (chip/delta.hpp format)
 
   Variant variant = Variant::kPacor;
-  bool incrementalEscape = true;
-  bool fastEscape = false;
   std::string solutionPath;
   std::string metricsPath;
   std::string tracePath;
@@ -153,7 +150,7 @@ std::optional<Request> parseRequestLine(const std::string& line,
 std::string formatRequestLine(const Request& req);
 
 /// The RequestOptions a request resolves to: variant -> base config, then
-/// the incremental-escape / fast-escape flags and the side-file paths.
+/// the side-file paths.
 RequestOptions optionsFor(const Request& req);
 
 /// One response line (no trailing newline), the single wire encoding used

@@ -33,8 +33,8 @@ unsigned poolSize(int jobs) {
 
 /// True when two configs produce byte-identical routed output, so a result
 /// cached under one can serve as the ECO base under the other. Every
-/// output-affecting knob is compared; jobs and incrementalEscape are
-/// excluded by the pipeline's bit-identity contract.
+/// output-affecting knob is compared; jobs is excluded by the pipeline's
+/// bit-identity contract.
 bool configsEquivalent(const core::PacorConfig& a, const core::PacorConfig& b) {
   return a.candidates.count == b.candidates.count &&
          a.candidates.ringSearchRadius == b.candidates.ringSearchRadius &&
@@ -47,7 +47,7 @@ bool configsEquivalent(const core::PacorConfig& a, const core::PacorConfig& b) {
          a.useBoundedDetour == b.useBoundedDetour &&
          a.detourStage == b.detourStage &&
          a.maxEscapeRounds == b.maxEscapeRounds &&
-         a.escapeMode == b.escapeMode && a.fastEscape == b.fastEscape &&
+         a.escapeMode == b.escapeMode &&
          a.matchingRetries == b.matchingRetries &&
          a.legalizeRadius == b.legalizeRadius;
 }

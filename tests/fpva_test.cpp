@@ -103,6 +103,25 @@ TEST(FpvaRouting, SerialAndParallelAreByteIdentical) {
   EXPECT_EQ(core::solutionToString(serial), core::solutionToString(parallel));
 }
 
+// Regression: the matching-driven retry splits a plain blocker and
+// re-escapes everything. On 32x32:obs=10 the first pass is complete with
+// 57 matched clusters, and the split used to strand pins (181 clusters,
+// INCOMPLETE, 55 matched); the retry is now kept only when it routes
+// better, while on 32x32:lm=100:obs=10 it still gains a matched cluster.
+TEST(FpvaRouting, MatchingRetryNeverMakesTheResultWorse) {
+  const auto plain = chip::generateFpvaChip(chip::parseFpvaSpec("fpva:32x32:obs=10"));
+  const auto r = core::routeChip(plain, jobsConfig(1));
+  EXPECT_TRUE(r.complete);
+  EXPECT_EQ(r.matchedClusterCount, 57);
+  EXPECT_EQ(r.clusters.size(), 128u);
+
+  const auto dense =
+      chip::generateFpvaChip(chip::parseFpvaSpec("fpva:32x32:lm=100:obs=10"));
+  const auto d = core::routeChip(dense, jobsConfig(1));
+  EXPECT_TRUE(d.complete);
+  EXPECT_EQ(d.matchedClusterCount, 118);
+}
+
 TEST(FpvaSpec, ParsesBareAndPrefixedForms) {
   const auto bare = chip::parseFpvaSpec("8x8");
   EXPECT_EQ(bare.rows, 8);

@@ -6,17 +6,16 @@
 
 #include "graph/min_cost_flow.hpp"
 
-// Differential suite for the solver's three open-list / augmentation
-// configurations:
+// Differential and certificate suite for the min-cost-flow solver:
 //
 //  * Dial buckets (default) vs. the pure packed heap must be BIT-IDENTICAL:
 //    same (flow, cost) and the same flow on every edge, because the bucket
 //    pop sequence reproduces the heap's (distance, node) comparator order
 //    exactly, stale entries included.
-//  * Fast mode (multi-augmentation + bidirectional last unit) must match
-//    the classic solver's (flow, cost) optimum; per-edge flows may differ
-//    (equal-cost ties resolve to different, equally optimal paths), which
-//    is verified by a residual-graph optimality certificate instead.
+//  * Every solve carries an optimality certificate checked independently
+//    of the solver: the flow is maximum (no residual s->t path) and
+//    min-cost for its value (no residual negative cycle).
+//  * A warm resetFlow() + run() on a frozen network equals a cold solve.
 //
 // Instances are seeded layered DAG-ish networks plus fully random digraphs,
 // including seeds whose costs exceed the Dial span so the heap-overflow
@@ -92,6 +91,28 @@ bool residualOptimal(const Instance& inst, const MinCostFlow& flow) {
     if (!relaxed) return true;
   }
   return false;
+}
+
+// BFS over residual arcs: a flow is maximum iff the sink is unreachable.
+bool residualMaximal(const Instance& inst, const MinCostFlow& flow) {
+  std::vector<std::vector<std::size_t>> next(inst.nodes);
+  for (std::size_t e = 0; e < inst.edges.size(); ++e) {
+    if (flow.residual(e) > 0) next[inst.edges[e].u].push_back(inst.edges[e].v);
+    if (flow.flowOn(e) > 0) next[inst.edges[e].v].push_back(inst.edges[e].u);
+  }
+  std::vector<char> seen(inst.nodes, 0);
+  std::vector<std::size_t> stack{inst.s};
+  seen[inst.s] = 1;
+  while (!stack.empty()) {
+    const std::size_t u = stack.back();
+    stack.pop_back();
+    for (const std::size_t v : next[u])
+      if (!seen[v]) {
+        seen[v] = 1;
+        stack.push_back(v);
+      }
+  }
+  return !seen[inst.t];
 }
 
 class SolverEquivalence : public ::testing::TestWithParam<int> {};
@@ -175,36 +196,33 @@ TEST(MinCostFlowBucketSpan, RecommendedSpanCoversTheDistanceAndClamps) {
             MinCostFlow::kMaxBucketSpan);
 }
 
-TEST_P(SolverEquivalence, FastModeMatchesClassicOptimum) {
+TEST_P(SolverEquivalence, SolveCarriesOptimalityCertificate) {
   for (int rep = 0; rep < 25; ++rep) {
     const auto seed = static_cast<std::uint32_t>(GetParam() * 1000 + rep);
     const Instance inst = makeInstance(seed);
 
-    MinCostFlow classic = buildSolver(inst);
-    MinCostFlow fast = buildSolver(inst);
-    fast.setFastSsp(true);
+    MinCostFlow flow = buildSolver(inst);
+    const auto r = flow.run(inst.s, inst.t);
+    ASSERT_TRUE(residualMaximal(inst, flow)) << "seed " << seed;
+    ASSERT_TRUE(residualOptimal(inst, flow)) << "seed " << seed;
+    std::int64_t cost = 0;
+    for (std::size_t e = 0; e < inst.edges.size(); ++e)
+      cost += flow.flowOn(e) * inst.edges[e].cost;
+    ASSERT_EQ(cost, r.cost) << "seed " << seed;
 
-    const auto rc = classic.run(inst.s, inst.t);
-    const auto rf = fast.run(inst.s, inst.t);
-    ASSERT_EQ(rc.flow, rf.flow) << "seed " << seed;
-    ASSERT_EQ(rc.cost, rf.cost) << "seed " << seed;
-    ASSERT_TRUE(residualOptimal(inst, fast)) << "seed " << seed;
-
-    // Bounded demand: the lexicographic (flow, then cost) optimum is
-    // unique for every prefix of the demand, so partial solves agree too.
-    if (rc.flow > 1) {
-      MinCostFlow classicPart = buildSolver(inst);
-      MinCostFlow fastPart = buildSolver(inst);
-      fastPart.setFastSsp(true);
-      const auto pc = classicPart.run(inst.s, inst.t, rc.flow - 1);
-      const auto pf = fastPart.run(inst.s, inst.t, rc.flow - 1);
-      ASSERT_EQ(pc.flow, pf.flow) << "seed " << seed;
-      ASSERT_EQ(pc.cost, pf.cost) << "seed " << seed;
+    // Bounded demand stops early but must still be min-cost for its value
+    // -- escape passes cap demand at the pending cluster count, below the
+    // max flow whenever free pins outnumber pending clusters.
+    if (r.flow > 1) {
+      MinCostFlow part = buildSolver(inst);
+      const auto p = part.run(inst.s, inst.t, r.flow - 1);
+      ASSERT_EQ(p.flow, r.flow - 1) << "seed " << seed;
+      ASSERT_TRUE(residualOptimal(inst, part)) << "seed " << seed;
     }
   }
 }
 
-TEST_P(SolverEquivalence, WarmRerunMatchesColdSolve) {
+TEST_P(SolverEquivalence, WarmResetAndRunMatchesColdSolve) {
   for (int rep = 0; rep < 10; ++rep) {
     const auto seed = static_cast<std::uint32_t>(GetParam() * 1000 + rep);
     const Instance inst = makeInstance(seed);
@@ -212,7 +230,8 @@ TEST_P(SolverEquivalence, WarmRerunMatchesColdSolve) {
     MinCostFlow warm = buildSolver(inst);
     warm.freeze();
     const auto first = warm.run(inst.s, inst.t);
-    const auto second = warm.rerun(inst.s, inst.t);
+    warm.resetFlow();
+    const auto second = warm.run(inst.s, inst.t);
     ASSERT_EQ(first.flow, second.flow) << "seed " << seed;
     ASSERT_EQ(first.cost, second.cost) << "seed " << seed;
 

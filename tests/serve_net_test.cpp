@@ -80,17 +80,17 @@ TEST(ServeProtocol, ValidLinesRoundTripExactly) {
       {"  S1   sol=out.sol  ", "S1 sol=out.sol"},
       {"S2 metrics=m.json sol=a.sol", "S2 sol=a.sol metrics=m.json"},
       {"fpva:8x8 variant=wosel", "fpva:8x8 variant=wosel"},
-      {"S3 trace=t.json trace-level=search fast-escape",
-       "S3 trace=t.json trace-level=search fast-escape"},
+      {"S3 trace=t.json trace-level=search",
+       "S3 trace=t.json trace-level=search"},
       {"S1 variant=pacor", "S1"},  // defaults canonicalize away
       {"S1 trace=t.json trace-level=cluster", "S1 trace=t.json"},
-      {"S4 no-incremental-escape", "S4 no-incremental-escape"},
+      {"S4 variant=detour-first", "S4 variant=detour-first"},
       {"eco S1 delta=d.delta", "eco S1 delta=d.delta"},
       {"eco S1 delta=d.delta variant=detour-first sol=s.sol",
        "eco S1 delta=d.delta sol=s.sol variant=detour-first"},
       {"gen fpva:16x16", "gen fpva:16x16"},
       {"S1 deadline_ms=500", "S1 deadline_ms=500"},
-      {"S1 deadline_ms=250 fast-escape", "S1 fast-escape deadline_ms=250"},
+      {"S1 deadline_ms=250 variant=wosel", "S1 variant=wosel deadline_ms=250"},
       {"eco S2 deadline_ms=86400000 delta=d.delta",
        "eco S2 delta=d.delta deadline_ms=86400000"},
   };
@@ -131,6 +131,9 @@ TEST(ServeProtocol, MalformedLinesReportTheOffendingField) {
       {"S1 deadline_ms=1e3", "deadline_ms", "S1"},
       {"S1 deadline_ms=86400001", "deadline_ms", "S1"},
       {"S1 deadline_ms=99999999999999999999", "deadline_ms", "S1"},
+      // Retired escape-solver switches are unknown options now.
+      {"S4 no-incremental-escape", "no-incremental-escape", "S4"},
+      {"S1 deadline_ms=250 fast-escape", "fast-escape", "S1"},
   };
   for (const auto& [line, field, design] : kTable) {
     SCOPED_TRACE("'" + line + "'");
@@ -139,6 +142,8 @@ TEST(ServeProtocol, MalformedLinesReportTheOffendingField) {
     EXPECT_EQ(error.field, field);
     EXPECT_EQ(error.design, design);
     EXPECT_NE(error.render().find("field '" + field + "'"), std::string::npos);
+    if (field == "no-incremental-escape" || field == "fast-escape")
+      EXPECT_EQ(error.reason, "unknown option '" + field + "'");
   }
 }
 

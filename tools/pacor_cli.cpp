@@ -57,12 +57,6 @@ int usage() {
       "              [--trace=out.json]   (Chrome trace_event timeline of the run)\n"
       "              [--trace-level=stage|cluster|search]   (default cluster)\n"
       "              [--metrics=out.json]   (every pipeline counter of the run)\n"
-      "              [--no-incremental-escape]   (rebuild the escape flow\n"
-      "               network every rip-up round instead of warm-restarting\n"
-      "               one persistent session; same result, more work)\n"
-      "              [--fast-escape]   (multi-augmenting escape-flow solver:\n"
-      "               same routed count and escape cost, but equal-cost ties\n"
-      "               may pick different paths -- validate with `pacor verify`)\n"
       "              [--eco=DELTA]   (ECO mode: route <in.chip>, apply the edit\n"
       "               script DELTA, then incrementally re-route only the\n"
       "               affected clusters; <out.sol> holds the edited chip's\n"
@@ -79,10 +73,10 @@ int usage() {
       "              line (from FILE, or stdin when --batch is omitted or '-'),\n"
       "              reusing one worker pool and per-design contexts across\n"
       "              requests. Line: <design|file.chip> [sol=P] [metrics=P]\n"
-      "              [trace=P] [trace-level=L] [variant=V] [no-incremental-escape]\n"
-      "              [fast-escape] [deadline_ms=D], `eco <design> delta=FILE\n"
-      "              [options]` to advance a cached design through an edit\n"
-      "              script, or `gen <design>` to pre-warm a design context\n"
+      "              [trace=P] [trace-level=L] [variant=V] [deadline_ms=D],\n"
+      "              `eco <design> delta=FILE [options]` to advance a cached\n"
+      "              design through an edit script, or `gen <design>` to\n"
+      "              pre-warm a design context\n"
       "  pacor serve --listen=HOST:PORT [--jobs=N] [--max-inflight=N]\n"
       "              [--max-queue=N] [--deadline-ms=D] [--max-designs=N]\n"
       "              TCP front end speaking the same request lines, length-\n"
@@ -152,11 +146,9 @@ int cmdInfo(int argc, char** argv) {
 }
 
 int cmdRoute(int argc, char** argv) {
-  if (argc < 2 || argc > 11) return usage();
+  if (argc < 2 || argc > 9) return usage();
   core::PacorConfig cfg = core::pacorDefaultConfig();
   int jobs = 1;
-  bool incrementalEscape = true;
-  bool fastEscape = false;
   std::string tracePath;
   std::string metricsPath;
   std::string ecoDeltaPath;
@@ -186,11 +178,6 @@ int cmdRoute(int argc, char** argv) {
     } else if (v.rfind("--metrics=", 0) == 0) {
       metricsPath = v.substr(10);
       if (metricsPath.empty()) return usage();
-    } else if (v == "--no-incremental-escape") {
-      incrementalEscape = false;  // applied after the loop: --variant=
-                                  // resets cfg wholesale
-    } else if (v == "--fast-escape") {
-      fastEscape = true;
     } else if (v.rfind("--eco=", 0) == 0) {
       ecoDeltaPath = v.substr(6);
       if (ecoDeltaPath.empty()) return usage();
@@ -203,8 +190,6 @@ int cmdRoute(int argc, char** argv) {
   }
   if (!ecoFromPath.empty() && ecoDeltaPath.empty()) return usage();
   cfg.jobs = jobs;
-  cfg.incrementalEscape = incrementalEscape;
-  cfg.fastEscape = fastEscape;
   const chip::Chip c = chip::readChipFile(argv[0]);
   if (!tracePath.empty()) trace::beginSession(traceLevel);
   core::PacorResult result;

@@ -3,7 +3,9 @@
 // Drives chip::generateChip(chip::randomParams(seed)) through seeded
 // random designs (die size, valve/cluster mix, obstacle density, delta
 // all vary), runs the full pipeline under serial and parallel configs and
-// a rotating flow variant, and asserts four properties per design:
+// a rotating flow variant, and asserts these properties per design (there
+// is no (f): it checked a retired escape-solver mode, and the other
+// letters keep their names):
 //
 //   (a) the independent oracle (src/verify) accepts every produced
 //       solution of a run that claims completion,
@@ -11,18 +13,16 @@
 //       solution text),
 //   (c) the oracle and the router-side DRC agree on clean/dirty -- a
 //       disagreement is a bug in one of the two checkers,
-//   (d) the incremental escape-flow session is invisible in the output:
-//       a --no-incremental-escape run (flow network rebuilt from scratch
-//       every rip-up round) is byte-identical to the warm-restart run,
+//   (d) warm escape-flow session rounds are invisible: on the design's
+//       pre-escape state, each of a seeded sequence of rounds (escape
+//       rip-ups, obstacle adds, plain-cluster splits, tap widening between
+//       them) served warm by one EscapeFlowSession gives byte-identical
+//       pins, escape paths, (routed, cost) and occupancy to a fresh
+//       session built on a copy of the same state,
 //   (e) the long-lived serve loop is invisible too: routing the design
 //       through one shared serve::Server (shared pool, reused workspaces
 //       and obstacle templates across all previous seeds' requests) is
 //       byte-identical to the independent one-shot run,
-//   (f) a --fast-escape run (multi-augmenting escape-flow solver) that
-//       claims completion is oracle-clean, and its first escape pass --
-//       the only pass where both solvers see the identical flow network,
-//       before committed paths diverge -- reaches the same lexicographic
-//       (routed count, flow cost) optimum as the classic run,
 //   (g) ECO differential: a seeded random edit script (1-8 edits -- valve
 //       moves/adds/removes, obstacle adds/removes, cluster flips) is
 //       applied one delta at a time, chaining each rerouteChip() result
@@ -67,6 +67,7 @@
 #include "chip/delta.hpp"
 #include "chip/generator.hpp"
 #include "chip/io.hpp"
+#include "escape_session_check.hpp"
 #include "pacor/drc.hpp"
 #include "pacor/eco.hpp"
 #include "pacor/pipeline.hpp"
@@ -169,8 +170,6 @@ serve::Request randomRequest(std::mt19937& rng) {
       serve::Variant::kPacor, serve::Variant::kWosel,
       serve::Variant::kDetourFirst};
   req.variant = kVariants[rng() % 3];
-  req.incrementalEscape = rng() % 2 == 0;
-  req.fastEscape = rng() % 4 == 0;
   if (rng() % 3 == 0)
     req.deadlineMs = 1 + static_cast<std::int64_t>(
                              rng() % static_cast<std::uint64_t>(
@@ -473,17 +472,12 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
     ok = false;
   }
 
-  // (d) incremental-escape runs stay byte-identical to from-scratch runs.
-  core::PacorConfig scratchCfg = serialCfg;
-  scratchCfg.incrementalEscape = !serialCfg.incrementalEscape;
-  const core::PacorResult scratch = core::routeChip(chip, scratchCfg);
-  if (const std::string scratchText = core::solutionToString(scratch);
-      scratchText != serialText) {
-    std::cerr << "FAIL seed " << seed << ": incrementalEscape="
-              << serialCfg.incrementalEscape << " and its inverse produce "
-              << "different solutions (" << serialText.size() << " vs "
-              << scratchText.size() << " bytes)\n";
-    dumpRepro(opt, seed, chip, serial, &scratch);
+  // (d) warm escape-session rounds equal fresh-session rounds.
+  if (const std::string diff = escapecheck::checkSessionRounds(chip, seed, 4);
+      !diff.empty()) {
+    std::cerr << "FAIL seed " << seed << ": a warm escape-session round differs "
+              << "from a fresh session on the same state (" << diff << ")\n";
+    dumpRepro(opt, seed, chip, serial, nullptr);
     ok = false;
   }
 
@@ -500,33 +494,6 @@ bool runDesign(const Options& opt, serve::Server& server, std::uint32_t seed,
               << (served.ok ? "different bytes" : "error: " + served.error)
               << ")\n";
     dumpRepro(opt, seed, chip, serial, nullptr);
-    ok = false;
-  }
-
-  // (f) fast-escape completions are oracle-clean and first-pass
-  // cost-equal to the classic solver.
-  core::PacorConfig fastCfg = serialCfg;
-  fastCfg.fastEscape = true;
-  const core::PacorResult fast = core::routeChip(chip, fastCfg);
-  if (fast.complete && !verify::verifySolution(chip, fast).clean()) {
-    std::cerr << "FAIL seed " << seed << ": --fast-escape run claims "
-              << "completion but the oracle found violations:\n"
-              << verify::verifySolution(chip, fast).str();
-    dumpRepro(opt, seed, chip, fast, nullptr);
-    ok = false;
-  }
-  if (fast.metrics.getInt("escape.flow.first_routed", -1) !=
-          serial.metrics.getInt("escape.flow.first_routed", -1) ||
-      fast.metrics.getInt("escape.flow.first_cost", -1) !=
-          serial.metrics.getInt("escape.flow.first_cost", -1)) {
-    std::cerr << "FAIL seed " << seed << ": --fast-escape first escape pass "
-              << "optimum differs from the classic solver (routed "
-              << fast.metrics.getInt("escape.flow.first_routed", -1) << " vs "
-              << serial.metrics.getInt("escape.flow.first_routed", -1)
-              << ", cost " << fast.metrics.getInt("escape.flow.first_cost", -1)
-              << " vs " << serial.metrics.getInt("escape.flow.first_cost", -1)
-              << ")\n";
-    dumpRepro(opt, seed, chip, fast, nullptr);
     ok = false;
   }
 
